@@ -8,6 +8,7 @@
 //! order, so same-seed runs (including killed-and-resumed ones) are
 //! byte-identical.
 
+use heron_trace::json::{want, want_arr, want_num, want_str};
 use heron_trace::Json;
 
 use crate::over::OverWitness;
@@ -278,29 +279,6 @@ impl AuditReport {
         });
         out
     }
-}
-
-fn want<'a>(doc: &'a Json, path: &str, key: &str) -> Result<&'a Json, String> {
-    doc.get(key)
-        .ok_or_else(|| format!("{path}: missing member `{key}`"))
-}
-
-fn want_num(doc: &Json, path: &str, key: &str) -> Result<f64, String> {
-    want(doc, path, key)?
-        .as_f64()
-        .ok_or_else(|| format!("{path}.{key}: expected a number"))
-}
-
-fn want_str<'a>(doc: &'a Json, path: &str, key: &str) -> Result<&'a str, String> {
-    want(doc, path, key)?
-        .as_str()
-        .ok_or_else(|| format!("{path}.{key}: expected a string"))
-}
-
-fn want_arr<'a>(doc: &'a Json, path: &str, key: &str) -> Result<&'a [Json], String> {
-    want(doc, path, key)?
-        .as_arr()
-        .ok_or_else(|| format!("{path}.{key}: expected an array"))
 }
 
 fn want_bool(doc: &Json, path: &str, key: &str) -> Result<bool, String> {

@@ -9,7 +9,7 @@
 //! sink (`set_ring(64, true)`, the always-on mode long-lived
 //! `heron_serve` runs use) — plus the raw per-op tracer costs, and
 //! prints the measured disabled- and ring-vs-baseline overheads. The
-//! ring numbers back DESIGN.md §12's <2% hot-path claim.
+//! ring numbers back DESIGN.md §10's <2% hot-path claim.
 
 use heron_core::generate::{SpaceGenerator, SpaceOptions};
 use heron_cost::{Gbdt, GbdtParams};

@@ -13,8 +13,8 @@
 //! job was lost or double-run, and a second service run reproduces the
 //! manifest byte for byte.
 
-use heron_bench::{flag, has_flag, scope_input};
-use heron_pulse::{build_pulse, render_dashboard, render_slo_report, SloSpec};
+use heron_bench::{flag, has_flag};
+use heron_pulse::{build_pulse, render_dashboard, render_slo_report, validate_pulse, SloSpec};
 use heron_serve::{chaos, parse_script, JobScript, JobState, Supervisor};
 use heron_trace::Json;
 
@@ -61,7 +61,7 @@ fn usage() {
         "usage: heron_serve (--jobs FILE | --smoke) [--workers N] [--manifest FILE] \
          [--trace-out FILE.jsonl] [--artifact-dir DIR] [--verify-recovery] \
          [--pulse-out FILE.json] [--slo SPEC] [--slo-report FILE] [--baseline BENCH.json] \
-         [--scope-out FILE.json] [--postmortem-dir DIR]"
+         [--postmortem-dir DIR]"
     );
 }
 
@@ -137,16 +137,7 @@ fn main() {
         );
     }
 
-    let scope_doc = heron_scope::build_scope(&scope_input(&sup));
-    if let Some(path) = flag(&args, "--scope-out") {
-        if let Err(e) = std::fs::write(&path, scope_doc.render_pretty()) {
-            eprintln!("cannot write scope document `{path}`: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("scope document written to `{path}`");
-    }
-
-    let pulse_doc = build_pulse(&sup.pulse_input(), &slo_spec);
+    let pulse_doc = build_pulse(&sup.service_run(), &slo_spec);
     if let Some(path) = flag(&args, "--pulse-out") {
         if let Err(e) = std::fs::write(&path, pulse_doc.render_pretty()) {
             eprintln!("cannot write pulse document `{path}`: {e}");
@@ -199,9 +190,7 @@ fn main() {
         }
     }
     if smoke {
-        smoke_assertions(
-            &sup, script, &manifest, &baseline, &slo_spec, &pulse_doc, &scope_doc,
-        );
+        smoke_assertions(&sup, script, &manifest, &baseline, &slo_spec, &pulse_doc);
         println!("service-robustness smoke: PASS");
     }
 }
@@ -295,7 +284,6 @@ fn write_artifacts(sup: &Supervisor, dir: &str) {
 
 /// The assertions behind the CI smoke stage. Process exit 1 with a
 /// pointed message on any violation.
-#[allow(clippy::too_many_arguments)]
 fn smoke_assertions(
     first: &Supervisor,
     script: JobScript,
@@ -303,7 +291,6 @@ fn smoke_assertions(
     baseline: &[(String, f64)],
     slo_spec: &SloSpec,
     first_pulse: &Json,
-    first_scope: &Json,
 ) {
     let fail = |msg: String| {
         eprintln!("smoke FAILED: {msg}");
@@ -393,23 +380,48 @@ fn smoke_assertions(
     {
         fail("manifest does not list the postmortem bundles".to_string());
     }
-    // Schedule forensics: the scope document validates and its critical
-    // path telescopes exactly to the makespan.
-    if let Err(e) = heron_scope::validate_scope(first_scope) {
-        fail(format!("scope document does not validate: {e}"));
+    // Schedule forensics: pulse.json validates, its schedule's critical
+    // path telescopes exactly to the makespan, and g5's quarantine is
+    // not counted as a third recovery (two restarts, two backoffs).
+    if let Err(e) = validate_pulse(first_pulse) {
+        fail(format!("pulse.json does not validate: {e}"));
     }
-    let scope_u64 = |key: &str| first_scope.get(key).and_then(Json::as_u64).unwrap_or(0);
-    if scope_u64("critical_sum_ns") != scope_u64("makespan_ns") || scope_u64("makespan_ns") == 0 {
+    let schedule_u64 = |key: &str| {
+        first_pulse
+            .get("schedule")
+            .and_then(|s| s.get(key))
+            .and_then(Json::as_u64)
+            .unwrap_or(0)
+    };
+    if schedule_u64("critical_sum_ns") != schedule_u64("makespan_ns")
+        || schedule_u64("makespan_ns") == 0
+    {
         fail(format!(
             "critical-path sum {} != makespan {}",
-            scope_u64("critical_sum_ns"),
-            scope_u64("makespan_ns")
+            schedule_u64("critical_sum_ns"),
+            schedule_u64("makespan_ns")
+        ));
+    }
+    let g5_recoveries = first_pulse
+        .get("jobs")
+        .and_then(Json::as_arr)
+        .and_then(|jobs| {
+            jobs.iter()
+                .find(|j| j.get("id") == Some(&Json::Str("g5".into())))
+        })
+        .and_then(|g5| g5.get("recoveries"))
+        .and_then(Json::as_u64);
+    if g5_recoveries != Some(2)
+        || !first_manifest.contains("job g5 state=quarantined attempts=3 recoveries=2")
+    {
+        fail(format!(
+            "quarantined g5 must report 2 recoveries in pulse.json and the manifest, got {g5_recoveries:?}"
         ));
     }
     // Determinism: a second full service run reproduces the manifest
     // byte for byte — states, attempts, rounds, fingerprints and all —
-    // the whole pulse plane (pulse.json, SLO report, dashboard), the
-    // scope document, every postmortem bundle, and every ring snapshot.
+    // the whole pulse plane (pulse.json with its schedule, SLO report,
+    // dashboard), every postmortem bundle, and every ring snapshot.
     let second = run_service(script, baseline, slo_spec, None);
     let second_manifest = second.manifest();
     if second_manifest != first_manifest {
@@ -417,7 +429,7 @@ fn smoke_assertions(
         eprintln!("--- second run ---\n{second_manifest}");
         fail("service manifest is not deterministic across runs".to_string());
     }
-    let second_pulse = build_pulse(&second.pulse_input(), slo_spec);
+    let second_pulse = build_pulse(&second.service_run(), slo_spec);
     if second_pulse.render_pretty() != first_pulse.render_pretty() {
         fail("pulse.json is not deterministic across runs".to_string());
     }
@@ -427,10 +439,6 @@ fn smoke_assertions(
     if render_dashboard(&second_pulse, 3) != render_dashboard(first_pulse, 3) {
         fail("status dashboard is not deterministic across runs".to_string());
     }
-    let second_scope = heron_scope::build_scope(&scope_input(&second));
-    if second_scope.render_pretty() != first_scope.render_pretty() {
-        fail("scope.json is not deterministic across runs".to_string());
-    }
     if second.postmortems() != first.postmortems() {
         fail("postmortem bundles are not byte-identical across runs".to_string());
     }
@@ -438,7 +446,7 @@ fn smoke_assertions(
         fail("flight-recorder ring snapshots are not byte-identical across runs".to_string());
     }
     println!(
-        "manifest, pulse.json, SLO report, dashboard, scope.json, {} \
+        "manifest, pulse.json (schedule included), SLO report, dashboard, {} \
          postmortem bundle(s) and {} ring snapshot(s) deterministic \
          across two service runs ({} jobs)",
         first.postmortems().len(),

@@ -1,10 +1,13 @@
 //! `heron_status` — the deterministic ops dashboard for `heron-serve`.
 //!
 //! Reads a `pulse.json` document (written by `heron_serve --pulse-out`),
-//! validates it against the `heron-pulse-v1` schema, and renders the
+//! validates it against the `heron-pulse-v2` schema, and renders the
 //! service dashboard: one row per job with its SLI columns and breach
 //! flags, service totals, the hottest spans per job, recorded
-//! `pulse.warn.*` anomalies, and any SLO breaches.
+//! `pulse.warn.*` anomalies, and any SLO breaches. Below it come the
+//! schedule's `critical-path sum == makespan` line (the validator has
+//! just enforced that equality; CI greps for the line) and its text
+//! timeline: one row per worker plus the critical path.
 //!
 //! ```text
 //! heron_status pulse.json                 # render the dashboard
@@ -13,14 +16,16 @@
 //! heron_status pulse.json --check         # exit 1 if any SLO rule is breached
 //! ```
 //!
-//! The dashboard is a pure function of `pulse.json` (itself
-//! byte-identical across reruns of the same service script), so its
-//! output is byte-stable too — `--check` is the CI gate that fails the
+//! The output is a pure function of `pulse.json` (itself
+//! byte-identical across reruns of the same service script), so it is
+//! byte-stable too — `--check` is the CI gate that fails the
 //! build when a committed SLO spec is breached.
 
 use heron_bench::{flag, has_flag};
-use heron_pulse::{attach_slo, breach_count, render_dashboard, validate_pulse, SloSpec};
-use heron_trace::json;
+use heron_pulse::{
+    attach_slo, breach_count, render_dashboard, render_timeline, validate_pulse, SloSpec,
+};
+use heron_trace::{json, Json};
 
 fn usage() -> ! {
     eprintln!("usage: heron_status <pulse.json> [--check] [--top N] [--slo SPEC]");
@@ -57,7 +62,7 @@ fn main() {
         }
     };
     if let Err(e) = validate_pulse(&doc) {
-        eprintln!("`{path}` is not a valid heron-pulse-v1 document: {e}");
+        eprintln!("`{path}` is not a valid heron-pulse-v2 document: {e}");
         std::process::exit(1);
     }
     if let Some(spec_path) = flag(&args, "--slo") {
@@ -88,6 +93,21 @@ fn main() {
         None => 3,
     };
     print!("{}", render_dashboard(&doc, top));
+    let schedule = doc.get("schedule").expect("validated");
+    let makespan_ns = schedule.get("makespan_ns").and_then(Json::as_u64);
+    let critical = schedule
+        .get("segments")
+        .and_then(Json::as_arr)
+        .map_or(0, |segs| {
+            segs.iter()
+                .filter(|s| s.get("critical") == Some(&Json::Bool(true)))
+                .count()
+        });
+    println!(
+        "\ncritical-path sum == makespan ({} ns, {critical} segment(s))",
+        makespan_ns.unwrap_or(0)
+    );
+    print!("{}", render_timeline(&doc, 72));
     if has_flag(&args, "--check") {
         let breaches = breach_count(&doc);
         if breaches > 0 {

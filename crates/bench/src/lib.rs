@@ -192,42 +192,6 @@ pub fn write_metrics_flag(args: &[String], tracer: &Tracer) {
     }
 }
 
-/// The deterministic schedule projection for `heron_scope`: submission
-/// order and per-attempt outcomes from the supervisor, sliced session
-/// traces (profile source) from the pulse projection. Shared by the
-/// `heron_serve` binary (`--scope-out`) and the forensics integration
-/// tests so both reconstruct the schedule from the same facts.
-pub fn scope_input(sup: &heron_serve::Supervisor) -> heron_scope::ScopeInput {
-    let pulse = sup.pulse_input();
-    let traces: std::collections::BTreeMap<String, String> = pulse
-        .jobs
-        .into_iter()
-        .map(|j| (j.id, j.trace_jsonl))
-        .collect();
-    heron_scope::ScopeInput {
-        workers: pulse.config.workers,
-        backoff_base_s: pulse.config.backoff_base_s,
-        jobs: sup
-            .schedule_rows()
-            .into_iter()
-            .map(|row| heron_scope::ScopeJob {
-                trace_jsonl: traces.get(&row.id).cloned().unwrap_or_default(),
-                id: row.id,
-                state: row.state.to_string(),
-                attempts: row
-                    .attempts
-                    .into_iter()
-                    .map(|a| heron_scope::ScopeAttempt {
-                        outcome: a.outcome,
-                        sim_ns: a.sim_ns,
-                        rounds: a.rounds,
-                    })
-                    .collect(),
-            })
-            .collect(),
-    }
-}
-
 /// Downsamples a curve to at most `n` evenly spaced points (always keeps
 /// the last).
 pub fn downsample(curve: &[f64], n: usize) -> Vec<(usize, f64)> {

@@ -6,67 +6,41 @@
 //! invariants (regret length = rounds, coverage in `[0,1]`, …) without
 //! pulling in any external JSON-schema machinery.
 
-use heron_trace::Json;
+use heron_trace::json::{self, Json};
+
+// The validators report every problem, not just the first: each
+// helper runs the shared path-carrying accessor and records a failed
+// lookup in `errs` instead of returning it.
+
+fn keep<T>(lookup: Result<T, String>, errs: &mut Vec<String>) -> Option<T> {
+    lookup.map_err(|e| errs.push(e)).ok()
+}
 
 fn want_num(obj: &Json, key: &str, errs: &mut Vec<String>, ctx: &str) -> Option<f64> {
-    match obj.get(key) {
-        Some(Json::Num(n)) => Some(*n),
-        Some(_) => {
-            errs.push(format!("{ctx}: `{key}` is not a number"));
-            None
-        }
-        None => {
-            errs.push(format!("{ctx}: missing `{key}`"));
-            None
-        }
-    }
+    keep(json::want_num(obj, ctx, key), errs)
 }
 
 fn want_num_or_null(obj: &Json, key: &str, errs: &mut Vec<String>, ctx: &str) {
-    match obj.get(key) {
-        Some(Json::Num(_)) | Some(Json::Null) => {}
-        Some(_) => errs.push(format!("{ctx}: `{key}` is not a number or null")),
-        None => errs.push(format!("{ctx}: missing `{key}`")),
+    if let Some(v) = keep(json::want(obj, ctx, key), errs) {
+        if !matches!(v, Json::Num(_) | Json::Null) {
+            errs.push(format!("{ctx}.{key}: expected a number or null"));
+        }
     }
 }
 
 fn want_str(obj: &Json, key: &str, errs: &mut Vec<String>, ctx: &str) -> Option<String> {
-    match obj.get(key) {
-        Some(Json::Str(s)) => Some(s.clone()),
-        Some(_) => {
-            errs.push(format!("{ctx}: `{key}` is not a string"));
-            None
-        }
-        None => {
-            errs.push(format!("{ctx}: missing `{key}`"));
-            None
-        }
-    }
+    keep(json::want_str(obj, ctx, key), errs).map(str::to_string)
 }
 
 fn want_arr<'a>(obj: &'a Json, key: &str, errs: &mut Vec<String>, ctx: &str) -> &'a [Json] {
-    match obj.get(key) {
-        Some(Json::Arr(items)) => items,
-        Some(_) => {
-            errs.push(format!("{ctx}: `{key}` is not an array"));
-            &[]
-        }
-        None => {
-            errs.push(format!("{ctx}: missing `{key}`"));
-            &[]
-        }
-    }
+    keep(json::want_arr(obj, ctx, key), errs).unwrap_or(&[])
 }
 
 fn want_obj<'a>(doc: &'a Json, key: &str, errs: &mut Vec<String>) -> Option<&'a Json> {
-    match doc.get(key) {
-        Some(obj @ Json::Obj(_)) => Some(obj),
-        Some(_) => {
-            errs.push(format!("`{key}` is not an object"));
-            None
-        }
-        None => {
-            errs.push(format!("missing section `{key}`"));
+    match keep(json::want(doc, "$", key), errs)? {
+        obj @ Json::Obj(_) => Some(obj),
+        _ => {
+            errs.push(format!("$.{key}: expected an object"));
             None
         }
     }

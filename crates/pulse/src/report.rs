@@ -1,8 +1,11 @@
-//! Human-readable renderings of a pulse document: the SLO report and
-//! the `heron_status` ops dashboard. Both are pure functions of the
-//! document, so they are byte-stable whenever `pulse.json` is.
+//! Human-readable renderings of a pulse document: the SLO report, the
+//! `heron_status` ops dashboard, and the schedule's text timeline. All
+//! are pure functions of the document, so they are byte-stable
+//! whenever `pulse.json` is.
 
 use heron_trace::Json;
+
+use crate::sli::PULSE_SCHEMA;
 
 fn num(v: &Json, key: &str) -> f64 {
     v.get(key).and_then(Json::as_f64).unwrap_or(0.0)
@@ -105,7 +108,7 @@ pub fn render_dashboard(doc: &Json, top: usize) -> String {
     let jobs = doc.get("jobs").and_then(Json::as_arr).unwrap_or(&empty);
     let breached = breached_jobs(doc);
 
-    let mut out = String::from("# heron-serve status — heron-pulse-v1\n");
+    let mut out = format!("# heron-serve status — {PULSE_SCHEMA}\n");
     out.push_str(&format!(
         "service: jobs={} completed={} preempted={} quarantined={} queued={} rejected={} \
          reject_rate={:.3} workers={} warnings={}\n",
@@ -242,47 +245,126 @@ pub fn render_dashboard(doc: &Json, top: usize) -> String {
     out
 }
 
+const SYMBOLS: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZ";
+
+fn symbol(job_index: usize) -> u8 {
+    SYMBOLS[job_index % SYMBOLS.len()]
+}
+
+fn paint(row: &mut [u8], seg: &Json, makespan_ns: f64, ch: u8) {
+    let width = row.len();
+    if makespan_ns <= 0.0 {
+        return;
+    }
+    let a = ((num(seg, "start_ns") / makespan_ns) * width as f64).floor() as usize;
+    let b = ((num(seg, "end_ns") / makespan_ns) * width as f64).ceil() as usize;
+    for cell in row.iter_mut().take(b.min(width)).skip(a.min(width)) {
+        *cell = ch;
+    }
+}
+
+/// Renders a pulse document's `schedule` section as a fixed-width text
+/// timeline: one row per worker (letters = jobs in submission order,
+/// `.` = idle) plus a critical-path row (`~` = backoff) and a legend.
+pub fn render_timeline(doc: &Json, width: usize) -> String {
+    let width = width.clamp(10, 400);
+    let empty = Json::Obj(Vec::new());
+    let schedule = doc.get("schedule").unwrap_or(&empty);
+    let makespan_ns = num(schedule, "makespan_ns");
+    let jobs = doc.get("jobs").and_then(Json::as_arr).unwrap_or(&[]);
+    let segments = schedule
+        .get("segments")
+        .and_then(Json::as_arr)
+        .unwrap_or(&[]);
+    let job_symbol = |seg: &Json| {
+        jobs.iter()
+            .position(|j| text(j, "id") == text(seg, "job"))
+            .map_or(b'?', symbol)
+    };
+    let lanes = schedule.get("lanes").and_then(Json::as_arr).unwrap_or(&[]);
+    let mut out = format!(
+        "timeline  makespan={:.3}s  workers={}\n",
+        makespan_ns / 1e9,
+        lanes.len()
+    );
+    for lane in lanes {
+        let worker = lane.get("worker").and_then(Json::as_f64);
+        let mut row = vec![b'.'; width];
+        for seg in segments
+            .iter()
+            .filter(|seg| seg.get("worker").and_then(Json::as_f64) == worker)
+        {
+            paint(&mut row, seg, makespan_ns, job_symbol(seg));
+        }
+        out.push_str(&format!(
+            "w{} |{}| {:5.1}% busy\n",
+            int(lane, "worker"),
+            String::from_utf8_lossy(&row),
+            num(lane, "utilization") * 100.0
+        ));
+    }
+    let mut cp = vec![b'.'; width];
+    for seg in segments
+        .iter()
+        .filter(|seg| seg.get("critical") == Some(&Json::Bool(true)))
+    {
+        let ch = if text(seg, "phase") == "backoff" {
+            b'~'
+        } else {
+            job_symbol(seg)
+        };
+        paint(&mut cp, seg, makespan_ns, ch);
+    }
+    out.push_str(&format!(
+        "cp |{}| critical path (~ = backoff)\n",
+        String::from_utf8_lossy(&cp)
+    ));
+    for (i, job) in jobs.iter().enumerate() {
+        out.push_str(&format!(
+            "   {} = {} ({})\n",
+            symbol(i) as char,
+            text(job, "id"),
+            text(job, "state")
+        ));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::{JobInput, PulseConfig, ServiceInput};
+    use crate::run::{JobRun, ServiceRun};
     use crate::sli::build_pulse;
     use crate::slo::SloSpec;
 
     fn doc() -> Json {
-        let job = |id: &str, recoveries: u32, warnings: Vec<String>| JobInput {
+        let job = |id: &str, attempt_ns: Vec<u64>, warnings: Vec<String>| JobRun {
             id: id.to_string(),
             state: "completed".to_string(),
-            attempts: recoveries + 1,
-            recoveries,
+            attempt_ns,
             rounds: 5,
             trials: 20,
             termination: Some("trials-exhausted".to_string()),
             warnings,
-            insight_json: String::new(),
-            metrics_tsv: String::new(),
-            wall_ns: 2_000_000_000,
-            trace_jsonl: String::new(),
-            postmortems: 0,
+            ..JobRun::default()
         };
-        let input = ServiceInput {
-            config: PulseConfig {
-                backoff_base_s: 1.0,
-                checkpoint_every: 2,
-                workers: 2,
-            },
+        let run = ServiceRun {
+            workers: 2,
+            backoff_base_s: 1.0,
+            checkpoint_every: 2,
             jobs: vec![
-                job("g1", 0, Vec::new()),
+                job("g1", vec![2_000_000_000], Vec::new()),
+                // Two crashes: backoffs of 1s and 2s.
                 job(
                     "g2",
-                    2,
+                    vec![500_000_000, 500_000_000, 2_000_000_000],
                     vec!["pulse.warn.heartbeat_stall attempt=1".to_string()],
                 ),
             ],
             rejected: Vec::new(),
         };
         let spec = SloSpec::parse("queue_wait_s <= 1\nreject_rate <= 0.5\n").unwrap();
-        build_pulse(&input, &spec)
+        build_pulse(&run, &spec)
     }
 
     #[test]
@@ -298,7 +380,7 @@ mod tests {
     #[test]
     fn dashboard_flags_warned_and_breached_jobs() {
         let dash = render_dashboard(&doc(), 3);
-        assert!(dash.starts_with("# heron-serve status — heron-pulse-v1\n"));
+        assert!(dash.starts_with("# heron-serve status — heron-pulse-v2\n"));
         assert!(dash.contains("slo: pass=1 warn=0 breach=1\n"));
         let g1 = dash.lines().find(|l| l.starts_with("g1")).unwrap();
         let g2 = dash.lines().find(|l| l.starts_with("g2")).unwrap();
@@ -308,5 +390,19 @@ mod tests {
         assert!(dash.contains("\nbreaches\n  queue_wait_s <= 1 (worst 3.000 on g2)\n"));
         // Byte-stable across renders.
         assert_eq!(dash, render_dashboard(&doc(), 3));
+    }
+
+    #[test]
+    fn timelines_paint_lanes_and_the_critical_path() {
+        let doc = doc();
+        let text = render_timeline(&doc, 40);
+        assert_eq!(text, render_timeline(&doc, 40), "rendering is pure");
+        assert!(text.starts_with("timeline  makespan=6.000s  workers=2\n"));
+        assert!(text.contains("w0 |"));
+        assert!(text.contains("w1 |"));
+        assert!(text.contains("cp |"));
+        assert!(text.contains('~'), "backoff appears on the critical row");
+        assert!(text.contains("A = g1 (completed)"));
+        assert!(text.contains("B = g2 (completed)"));
     }
 }

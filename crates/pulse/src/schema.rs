@@ -1,35 +1,16 @@
-//! Structural validator for `heron-pulse-v1` documents.
+//! Structural validator for `heron-pulse-v2` documents.
 //!
 //! `heron_status` runs every input file through [`validate_pulse`]
 //! before rendering, so a truncated or hand-edited `pulse.json` fails
-//! with a named path instead of a blank dashboard.
+//! with a named path instead of a blank dashboard. Beyond structure,
+//! the validator enforces the schedule section's central invariant:
+//! the critical segments form a contiguous chain from 0 to the
+//! makespan whose durations sum *exactly* to `makespan_ns`.
 
+use heron_trace::json::{want, want_arr, want_num, want_str};
 use heron_trace::Json;
 
 use crate::sli::PULSE_SCHEMA;
-
-fn want<'a>(doc: &'a Json, path: &str, key: &str) -> Result<&'a Json, String> {
-    doc.get(key)
-        .ok_or_else(|| format!("{path}: missing member `{key}`"))
-}
-
-fn want_num(doc: &Json, path: &str, key: &str) -> Result<f64, String> {
-    want(doc, path, key)?
-        .as_f64()
-        .ok_or_else(|| format!("{path}.{key}: expected a number"))
-}
-
-fn want_str<'a>(doc: &'a Json, path: &str, key: &str) -> Result<&'a str, String> {
-    want(doc, path, key)?
-        .as_str()
-        .ok_or_else(|| format!("{path}.{key}: expected a string"))
-}
-
-fn want_arr<'a>(doc: &'a Json, path: &str, key: &str) -> Result<&'a [Json], String> {
-    want(doc, path, key)?
-        .as_arr()
-        .ok_or_else(|| format!("{path}.{key}: expected an array"))
-}
 
 fn want_num_or_null(doc: &Json, path: &str, key: &str) -> Result<(), String> {
     match want(doc, path, key)? {
@@ -48,6 +29,82 @@ pub const SLI_KEYS: [&str; 6] = [
     "sol_per_kprop",
     "rank_accuracy_final",
 ];
+
+fn want_span(seg: &Json, path: &str) -> Result<(u64, u64), String> {
+    let start = want_num(seg, path, "start_ns")? as u64;
+    let end = want_num(seg, path, "end_ns")? as u64;
+    if end < start {
+        return Err(format!("{path}: end_ns {end} precedes start_ns {start}"));
+    }
+    Ok((start, end))
+}
+
+/// The `schedule` section: segment and lane structure, lane accounting,
+/// and the exact critical-path telescope.
+fn validate_schedule(schedule: &Json) -> Result<(), String> {
+    let path = "$.schedule";
+    let makespan_ns = want_num(schedule, path, "makespan_ns")? as u64;
+    for (i, lane) in want_arr(schedule, path, "lanes")?.iter().enumerate() {
+        let lane_path = format!("{path}.lanes[{i}]");
+        want_num(lane, &lane_path, "worker")?;
+        want_num(lane, &lane_path, "utilization")?;
+        let busy = want_num(lane, &lane_path, "busy_ns")? as u64;
+        let idle = want_num(lane, &lane_path, "idle_ns")? as u64;
+        if busy.checked_add(idle) != Some(makespan_ns) {
+            return Err(format!(
+                "{lane_path}: busy {busy} + idle {idle} != makespan {makespan_ns}"
+            ));
+        }
+    }
+    // Critical segments, in model order, chain from 0 to the makespan,
+    // so their durations telescope to exactly the chain's end.
+    let mut cursor = 0u64;
+    for (i, seg) in want_arr(schedule, path, "segments")?.iter().enumerate() {
+        let seg_path = format!("{path}.segments[{i}]");
+        want_str(seg, &seg_path, "job")?;
+        want_num(seg, &seg_path, "attempt")?;
+        want_num(seg, &seg_path, "slack_ns")?;
+        let (start, end) = want_span(seg, &seg_path)?;
+        let phase = want_str(seg, &seg_path, "phase")?;
+        match (phase, want(seg, &seg_path, "worker")?) {
+            ("run", Json::Num(_)) | ("queue" | "backoff", Json::Null) => {}
+            ("run", _) => return Err(format!("{seg_path}.worker: run needs a lane")),
+            ("queue" | "backoff", _) => {
+                return Err(format!(
+                    "{seg_path}.worker: `{phase}` segments carry no lane"
+                ))
+            }
+            _ => return Err(format!("{seg_path}.phase: unknown phase `{phase}`")),
+        }
+        match want(seg, &seg_path, "critical")? {
+            Json::Bool(false) => {}
+            Json::Bool(true) if phase == "queue" => {
+                return Err(format!("{seg_path}: queue segments are never critical"))
+            }
+            Json::Bool(true) => {
+                if start != cursor {
+                    return Err(format!(
+                        "{seg_path}: critical chain gap — starts at {start}, previous ended at {cursor}"
+                    ));
+                }
+                cursor = end;
+            }
+            _ => return Err(format!("{seg_path}.critical: expected a boolean")),
+        }
+    }
+    if cursor != makespan_ns {
+        return Err(format!(
+            "{path}: critical chain ends at {cursor}, makespan is {makespan_ns}"
+        ));
+    }
+    let declared = want_num(schedule, path, "critical_sum_ns")? as u64;
+    if declared != cursor {
+        return Err(format!(
+            "{path}.critical_sum_ns: declared {declared}, critical segments sum to {cursor}"
+        ));
+    }
+    Ok(())
+}
 
 /// Validates the structure of a `pulse.json` document.
 ///
@@ -119,6 +176,7 @@ pub fn validate_pulse(doc: &Json) -> Result<(), String> {
             want_num(span, &span_path, "total_s")?;
         }
     }
+    validate_schedule(want(doc, "$", "schedule")?)?;
     let slo = want(doc, "$", "slo")?;
     for key in ["pass", "warn", "breach"] {
         want_num(slo, "$.slo", key)?;
@@ -149,37 +207,31 @@ pub fn validate_pulse(doc: &Json) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::{JobInput, PulseConfig, ServiceInput};
+    use crate::run::{JobRun, ServiceRun};
     use crate::sli::build_pulse;
     use crate::slo::SloSpec;
     use heron_trace::json::parse;
 
     fn sample() -> Json {
-        let input = ServiceInput {
-            config: PulseConfig {
-                backoff_base_s: 1.0,
-                checkpoint_every: 2,
-                workers: 1,
-            },
-            jobs: vec![JobInput {
+        let run = ServiceRun {
+            workers: 1,
+            backoff_base_s: 1.0,
+            checkpoint_every: 2,
+            jobs: vec![JobRun {
                 id: "a".to_string(),
                 state: "completed".to_string(),
-                attempts: 1,
-                recoveries: 0,
+                attempt_ns: vec![1_000_000_000, 1_500_000_000],
                 rounds: 3,
                 trials: 12,
                 termination: Some("trials-exhausted".to_string()),
                 warnings: vec!["pulse.warn.heartbeat_stall attempt=1".to_string()],
-                insight_json: String::new(),
-                metrics_tsv: String::new(),
-                wall_ns: 1_500_000_000,
-                trace_jsonl: String::new(),
                 postmortems: 1,
+                ..JobRun::default()
             }],
             rejected: Vec::new(),
         };
         let spec = SloSpec::parse("reject_rate <= 0.5\nmakespan_s <= 60 warn 30\n").unwrap();
-        build_pulse(&input, &spec)
+        build_pulse(&run, &spec)
     }
 
     #[test]
@@ -194,18 +246,25 @@ mod tests {
     fn rejects_structural_damage_with_named_paths() {
         let base = sample().render();
         for (damage, want_msg) in [
-            ("heron-pulse-v1", "heron-pulse-v0", "$.schema"),
+            ("heron-pulse-v2", "heron-pulse-v1", "$.schema"),
             (
                 "\"reject_rate\":0",
                 "\"reject_rate\":\"0\"",
                 "$.service.reject_rate",
             ),
             (
-                "\"queue_wait_s\":0",
+                "\"queue_wait_s\":1",
                 "\"queue_wait_s\":true",
                 "$.jobs[0].slis.queue_wait_s",
             ),
             ("\"verdict\":\"pass\"", "\"verdict\":\"ok\"", "verdict"),
+            ("\"makespan_ns\":3", "\"makespan_ns\":4", "makespan"),
+            (
+                "\"critical_sum_ns\":3",
+                "\"critical_sum_ns\":2",
+                "$.schedule.critical_sum_ns",
+            ),
+            ("\"phase\":\"backoff\"", "\"phase\":\"nap\"", "phase"),
         ]
         .map(|(from, to, want)| (base.replace(from, to), want))
         {

@@ -166,7 +166,7 @@ pub struct ServeConfig {
     pub drain_after_completions: usize,
     /// Flight-recorder ring capacity attached to every worker session
     /// tracer (0 disables the ring sink; postmortem bundles then embed
-    /// an empty ring). See DESIGN.md §12.
+    /// an empty ring). See DESIGN.md §10.
     pub ring_capacity: usize,
     /// When set, the ring *replaces* each session's unbounded event log
     /// — the bounded always-on recording mode for long-lived runs.

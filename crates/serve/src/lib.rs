@@ -30,7 +30,7 @@
 //!   graceful drain;
 //! * [`plan`] — seeded worker-kill injection for the chaos harness;
 //! * [`recorder`] — the flight recorder: per-job ring-snapshot deposits
-//!   harvested after a death (DESIGN.md §12);
+//!   harvested after a death (DESIGN.md §10);
 //! * [`postmortem`] — schema-versioned crash/hang/quarantine autopsy
 //!   bundles (`heron-postmortem-v1`);
 //! * [`manifest`] — the deterministic results manifest;
@@ -70,5 +70,5 @@ pub use postmortem::{
 pub use queue::{AdmitError, AdmitQueue};
 pub use recorder::{FlightEntry, FlightRecorder};
 pub use store::CheckpointStore;
-pub use supervisor::{AttemptRecord, JobRow, JobState, ScheduleRow, Supervisor};
+pub use supervisor::{JobRow, JobState, Supervisor};
 pub use worker::{build_session, Event, JobReport, WorkOrder};

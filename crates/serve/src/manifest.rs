@@ -98,7 +98,7 @@ mod tests {
                 id: "g2".to_string(),
                 state: JobState::Quarantined,
                 attempts: 3,
-                recoveries: 3,
+                recoveries: 2,
                 rounds: 0,
                 trials: 0,
                 termination: None,
@@ -136,7 +136,7 @@ mod tests {
              termination=trials fingerprint=00000000deadbeef best_bits=3ff8000000000000 \
              warnings=1"
         ));
-        assert!(text.contains("job g2 state=quarantined attempts=3 recoveries=3 note=poisoned"));
+        assert!(text.contains("job g2 state=quarantined attempts=3 recoveries=2 note=poisoned"));
         assert!(text.contains("warn g1 pulse.warn.heartbeat_stall attempt=0"));
         assert!(text.contains("rejected g9 reason=queue full (capacity 1)"));
     }

@@ -1,5 +1,5 @@
 //! Crash postmortem bundles: the autopsy document the supervisor writes
-//! when a job crashes, hangs, or is quarantined (DESIGN.md §12).
+//! when a job crashes, hangs, or is quarantined (DESIGN.md §10).
 //!
 //! A bundle is schema-versioned JSONL: one `heron-postmortem-v1` header
 //! line carrying the job's state at death — attempt, epoch, rounds,
@@ -10,13 +10,15 @@
 //! deterministic function of (script, seeds, chaos plan) and the manual
 //! clock, so two same-seed chaos runs produce byte-identical bundles.
 //!
-//! The SLO verdicts are judged over the dying job's *deterministic*
-//! SLIs only (`queue_wait_s`, `recovery_max_s` — pure functions of the
-//! backoff policy and the recovery count); service-level metrics like
-//! `makespan_s` depend on which neighbours happened to finish first and
-//! would poison byte-identity, so they judge as no-sample passes.
+//! The SLO verdicts run the same SLI code as `pulse.json`
+//! ([`heron_pulse::judge_job_slis`]) on a one-job [`ServiceRun`] of the
+//! dying job's settled attempts. Alone in that run the job never queues
+//! behind a neighbour, so its `queue_wait_s` and `recovery_max_s` are
+//! pure functions of its own attempts and the backoff policy;
+//! service-level rules and SLIs the dead job lacks (`makespan_s`,
+//! `ttfc_s`, …) judge as no-sample passes.
 
-use heron_pulse::{attach_slo, backoff_last_s, backoff_wait_s, SloSpec};
+use heron_pulse::{judge_job_slis, ServiceRun, SloSpec};
 use heron_trace::{check_ring_snapshot, Json, RingSummary};
 
 use crate::recorder::FlightEntry;
@@ -58,8 +60,9 @@ pub struct DeathReport<'a> {
     pub recoveries: u32,
     /// The configured restart budget.
     pub restart_budget: u32,
-    /// The configured backoff base, simulated seconds.
-    pub backoff_base_s: f64,
+    /// A one-job run of the dying job's settled attempts, the dying
+    /// one included (the SLO verdicts' input).
+    pub history: &'a ServiceRun,
     /// The job's latest accepted checkpoint text, if any.
     pub checkpoint: Option<&'a str>,
     /// The job's last flight-recorder deposit, if any attempt flushed.
@@ -82,35 +85,6 @@ pub struct Postmortem {
     pub file: String,
     /// The full bundle text (header line + ring snapshot).
     pub bundle: String,
-}
-
-/// The SLO verdicts at time of death, judged over the dying job's
-/// deterministic SLIs. Returns the `rules` array of
-/// [`heron_pulse::attach_slo`].
-fn slo_at_death(report: &DeathReport<'_>) -> Json {
-    let slis = Json::Obj(vec![
-        (
-            "queue_wait_s".to_string(),
-            Json::Num(backoff_wait_s(report.backoff_base_s, report.recoveries)),
-        ),
-        (
-            "recovery_max_s".to_string(),
-            Json::Num(backoff_last_s(report.backoff_base_s, report.recoveries)),
-        ),
-    ]);
-    let doc = Json::Obj(vec![(
-        "jobs".to_string(),
-        Json::Arr(vec![Json::Obj(vec![
-            ("id".to_string(), Json::Str(report.job.to_string())),
-            ("slis".to_string(), slis),
-        ])]),
-    )]);
-    let judged = attach_slo(doc, report.slo);
-    judged
-        .get("slo")
-        .and_then(|slo| slo.get("rules"))
-        .cloned()
-        .unwrap_or_else(|| Json::Arr(Vec::new()))
 }
 
 /// A synthetic empty ring snapshot for jobs that died before any flush
@@ -160,7 +134,10 @@ pub fn build(report: &DeathReport<'_>) -> Postmortem {
         ("sim_ns".to_string(), Json::Num(sim_ns as f64)),
         ("checkpoint".to_string(), checkpoint),
         ("restart".to_string(), restart),
-        ("slo".to_string(), slo_at_death(report)),
+        (
+            "slo".to_string(),
+            judge_job_slis(report.history, report.slo),
+        ),
     ]);
     let file = format!(
         "{}.attempt{}.{}.jsonl",
@@ -252,6 +229,7 @@ pub fn check_postmortem(text: &str) -> Result<PostmortemSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use heron_pulse::JobRun;
     use heron_trace::Tracer;
 
     fn flight_with_ring(rounds: u64) -> FlightEntry {
@@ -270,7 +248,27 @@ mod tests {
         }
     }
 
-    fn death<'a>(flight: Option<&'a FlightEntry>, slo: &'a SloSpec) -> DeathReport<'a> {
+    /// The dying job's history: one settled attempt per death so far.
+    fn history(deaths: usize) -> ServiceRun {
+        ServiceRun {
+            workers: 2,
+            backoff_base_s: 0.5,
+            checkpoint_every: 2,
+            jobs: vec![JobRun {
+                id: "g1".to_string(),
+                state: "running".to_string(),
+                attempt_ns: vec![1_000_000_000; deaths],
+                ..JobRun::default()
+            }],
+            rejected: Vec::new(),
+        }
+    }
+
+    fn death<'a>(
+        flight: Option<&'a FlightEntry>,
+        history: &'a ServiceRun,
+        slo: &'a SloSpec,
+    ) -> DeathReport<'a> {
         DeathReport {
             job: "g1",
             attempt: 0,
@@ -278,7 +276,7 @@ mod tests {
             reason: "crash",
             recoveries: 0,
             restart_budget: 2,
-            backoff_base_s: 0.5,
+            history,
             checkpoint: Some("ckpt-text"),
             flight,
             slo,
@@ -289,8 +287,9 @@ mod tests {
     fn bundles_are_deterministic_and_validate() {
         let slo = SloSpec::parse("queue_wait_s <= 60\n").unwrap();
         let flight = flight_with_ring(3);
-        let a = build(&death(Some(&flight), &slo));
-        let b = build(&death(Some(&flight), &slo));
+        let history = history(1);
+        let a = build(&death(Some(&flight), &history, &slo));
+        let b = build(&death(Some(&flight), &history, &slo));
         assert_eq!(a, b, "bundle assembly is pure");
         assert_eq!(a.file, "g1.attempt0.crash.jsonl");
         let summary = check_postmortem(&a.bundle).expect("bundle validates");
@@ -305,11 +304,12 @@ mod tests {
 
     #[test]
     fn slo_verdicts_at_death_reflect_the_dying_jobs_backoffs() {
-        // Two recoveries at base 0.5 ⇒ queue_wait 1.5s; a 1s bound
-        // breaches, a 60s bound passes.
+        // Three deaths, two recoveries at base 0.5 ⇒ queue_wait 1.5s; a
+        // 1s bound breaches, a 60s bound passes.
         let slo = SloSpec::parse("queue_wait_s <= 1\nrecovery_max_s <= 60\n").unwrap();
         let flight = flight_with_ring(2);
-        let mut report = death(Some(&flight), &slo);
+        let history = history(3);
+        let mut report = death(Some(&flight), &history, &slo);
         report.recoveries = 2;
         report.reason = "quarantine";
         let pm = build(&report);
@@ -325,7 +325,8 @@ mod tests {
     #[test]
     fn deaths_without_a_flush_get_a_valid_empty_ring() {
         let slo = SloSpec::empty();
-        let mut report = death(None, &slo);
+        let history = history(1);
+        let mut report = death(None, &history, &slo);
         report.checkpoint = None;
         report.reason = "quarantine";
         let pm = build(&report);
@@ -349,7 +350,8 @@ mod tests {
     fn damaged_bundles_are_rejected_with_named_errors() {
         let slo = SloSpec::empty();
         let flight = flight_with_ring(1);
-        let pm = build(&death(Some(&flight), &slo));
+        let history = history(1);
+        let pm = build(&death(Some(&flight), &history, &slo));
         let wrong = pm.bundle.replace(POSTMORTEM_SCHEMA, "heron-postmortem-v0");
         assert!(check_postmortem(&wrong)
             .unwrap_err()

@@ -1,5 +1,5 @@
 //! The service flight recorder: the supervisor-side mailbox where every
-//! worker attempt deposits its latest ring snapshot (DESIGN.md §12).
+//! worker attempt deposits its latest ring snapshot (DESIGN.md §10).
 //!
 //! A crashed worker cannot be asked for its trace after the fact — the
 //! thread is gone and its `Tracer` died with it. So each worker flushes

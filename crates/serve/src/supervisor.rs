@@ -43,7 +43,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use heron_core::TunerControl;
-use heron_pulse::SloSpec;
+use heron_pulse::{JobRun, ServiceRun, SloSpec};
 use heron_trace::Tracer;
 
 use crate::job::{JobScript, JobSpec, ServeConfig};
@@ -106,37 +106,9 @@ struct JobEntry {
     preempted_trials: usize,
     /// Admission order (0-based), for schedule reconstruction.
     submit_seq: usize,
-    /// Outcome of every settled attempt, in attempt order.
-    attempts_log: Vec<AttemptRecord>,
-}
-
-/// The deterministic outcome of one worker attempt, for schedule
-/// reconstruction (`heron-scope`, DESIGN.md §12).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AttemptRecord {
-    /// Attempt number (0 = first run).
-    pub attempt: u32,
-    /// `completed`, `preempted`, `crashed`, `hung`, or `failed`.
-    pub outcome: String,
-    /// Simulated wall-clock the attempt consumed before settling, ns.
-    pub sim_ns: u64,
-    /// Lifetime rounds when the attempt settled.
-    pub rounds: u64,
-}
-
-/// One job's deterministic scheduling facts: submission order, final
-/// state, and every attempt's outcome. The projection `heron-scope`
-/// rebuilds the service schedule from.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScheduleRow {
-    /// Job id.
-    pub id: String,
-    /// Admission order (0-based).
-    pub submit_seq: usize,
-    /// Final lifecycle state.
-    pub state: JobState,
-    /// Attempts in order (empty for jobs that never ran).
-    pub attempts: Vec<AttemptRecord>,
+    /// Simulated nanoseconds each settled attempt ran, in attempt
+    /// order (the schedule's input, DESIGN.md §10).
+    attempt_ns: Vec<u64>,
 }
 
 /// Read-only snapshot of a job for manifests and assertions.
@@ -316,7 +288,7 @@ impl Supervisor {
                         preempted_rounds: 0,
                         preempted_trials: 0,
                         submit_seq,
-                        attempts_log: Vec::new(),
+                        attempt_ns: Vec::new(),
                     },
                 );
                 Ok(())
@@ -471,12 +443,7 @@ impl Supervisor {
                             [("job", job_owned), ("detail", warning)]
                         });
                 }
-                entry.attempts_log.push(AttemptRecord {
-                    attempt: entry.attempt,
-                    outcome: "completed".to_string(),
-                    sim_ns: report.wall_ns,
-                    rounds: report.rounds,
-                });
+                entry.attempt_ns.push(report.wall_ns);
                 entry.state = JobState::Completed;
                 entry.report = Some(report);
                 self.tracer.counter_add("serve.jobs_completed", 1);
@@ -510,12 +477,7 @@ impl Supervisor {
                 if let Some(h) = entry.handle.take() {
                     let _ = h.join();
                 }
-                entry.attempts_log.push(AttemptRecord {
-                    attempt: entry.attempt,
-                    outcome: "preempted".to_string(),
-                    sim_ns: wall_ns,
-                    rounds,
-                });
+                entry.attempt_ns.push(wall_ns);
                 entry.state = JobState::Preempted;
                 entry.preempted_rounds = rounds;
                 entry.preempted_trials = trials;
@@ -537,12 +499,7 @@ impl Supervisor {
                 }
                 // A session that cannot be built is deterministically
                 // poisoned; retrying cannot help.
-                entry.attempts_log.push(AttemptRecord {
-                    attempt: entry.attempt,
-                    outcome: "failed".to_string(),
-                    sim_ns: 0,
-                    rounds: 0,
-                });
+                entry.attempt_ns.push(0);
                 entry.state = JobState::Quarantined;
                 entry.note = Some(format!("poisoned: {reason}"));
                 self.tracer.counter_add("serve.jobs_quarantined", 1);
@@ -587,14 +544,9 @@ impl Supervisor {
                 let id_owned = id.clone();
                 self.tracer
                     .point_with("serve.crash_detected", move || [("job", id_owned)]);
-                let (sim_ns, rounds) = self.attempt_facts(&id);
+                let sim_ns = self.attempt_sim_ns(&id);
                 let entry = self.jobs.get_mut(&id).expect("scanned job exists");
-                entry.attempts_log.push(AttemptRecord {
-                    attempt: entry.attempt,
-                    outcome: "crashed".to_string(),
-                    sim_ns,
-                    rounds,
-                });
+                entry.attempt_ns.push(sim_ns);
                 self.emit_postmortem(&id, "crash");
                 self.recover(&id);
             } else {
@@ -642,14 +594,9 @@ impl Supervisor {
                 let id_owned = id.clone();
                 self.tracer
                     .point_with("serve.hang_detected", move || [("job", id_owned)]);
-                let (sim_ns, rounds) = self.attempt_facts(&id);
+                let sim_ns = self.attempt_sim_ns(&id);
                 let entry = self.jobs.get_mut(&id).expect("scanned job exists");
-                entry.attempts_log.push(AttemptRecord {
-                    attempt: entry.attempt,
-                    outcome: "hung".to_string(),
-                    sim_ns,
-                    rounds,
-                });
+                entry.attempt_ns.push(sim_ns);
                 self.emit_postmortem(&id, "hang");
                 self.recover(&id);
             }
@@ -658,15 +605,12 @@ impl Supervisor {
 
     /// Retry-with-backoff, bounded by the restart budget. Resumes from
     /// the last accepted checkpoint, or from scratch if the job died
-    /// before ever snapshotting.
+    /// before ever snapshotting. Only a restart that is actually
+    /// scheduled counts as a recovery; a quarantine does not.
     fn recover(&mut self, id: &str) {
-        let (recoveries, next_attempt) = {
-            let entry = self.jobs.get_mut(id).expect("recovering unknown job");
-            entry.recoveries += 1;
-            (entry.recoveries, entry.attempt + 1)
-        };
-        if recoveries > self.config.restart_budget {
-            let entry = self.jobs.get_mut(id).expect("recovering unknown job");
+        let entry = self.jobs.get_mut(id).expect("recovering unknown job");
+        let next_attempt = entry.attempt + 1;
+        if entry.recoveries >= self.config.restart_budget {
             entry.state = JobState::Quarantined;
             entry.note = Some(format!(
                 "poisoned: restart budget ({}) exhausted after {} attempts",
@@ -679,6 +623,8 @@ impl Supervisor {
             self.emit_postmortem(id, "quarantine");
             return;
         }
+        entry.recoveries += 1;
+        let recoveries = entry.recoveries;
         // Exponential backoff in *simulated* time: the service trace's
         // manual clock advances, wall time does not. Step-based
         // supervision stays deterministic and tests stay fast.
@@ -698,14 +644,14 @@ impl Supervisor {
         self.spawn(id, resume_from, next_attempt);
     }
 
-    /// The dying attempt's last-flushed `(sim_ns, rounds)` — zeros when
-    /// no deposit from the job's current epoch exists (e.g. a session
-    /// that never completed a round).
-    fn attempt_facts(&self, id: &str) -> (u64, u64) {
+    /// The dying attempt's last-flushed simulated clock — zero when no
+    /// deposit from the job's current epoch exists (e.g. a session that
+    /// never completed a round).
+    fn attempt_sim_ns(&self, id: &str) -> u64 {
         let entry = &self.jobs[id];
         match self.recorder.get(id) {
-            Some(f) if f.epoch == entry.epoch => (f.sim_ns, f.rounds),
-            _ => (0, 0),
+            Some(f) if f.epoch == entry.epoch => f.sim_ns,
+            _ => 0,
         }
     }
 
@@ -716,6 +662,7 @@ impl Supervisor {
         let checkpoint = self.store.load(id);
         let flight = self.recorder.get(id);
         let flight_ref = flight.as_ref().filter(|f| f.epoch == entry.epoch);
+        let history = self.project(Some(id));
         let pm = postmortem::build(&DeathReport {
             job: id,
             attempt: entry.attempt,
@@ -723,7 +670,7 @@ impl Supervisor {
             reason,
             recoveries: entry.recoveries,
             restart_budget: self.config.restart_budget,
-            backoff_base_s: self.config.backoff_base_s,
+            history: &history,
             checkpoint: checkpoint.as_deref(),
             flight: flight_ref,
             slo: &self.slo,
@@ -811,23 +758,6 @@ impl Supervisor {
         &self.recorder
     }
 
-    /// Deterministic scheduling facts for every admitted job, in
-    /// submission order — the `heron-scope` input projection.
-    pub fn schedule_rows(&self) -> Vec<ScheduleRow> {
-        let mut rows: Vec<ScheduleRow> = self
-            .jobs
-            .iter()
-            .map(|(id, e)| ScheduleRow {
-                id: id.clone(),
-                submit_seq: e.submit_seq,
-                state: e.state,
-                attempts: e.attempts_log.clone(),
-            })
-            .collect();
-        rows.sort_by_key(|r| r.submit_seq);
-        rows
-    }
-
     /// The deterministic results manifest.
     pub fn manifest(&self) -> String {
         manifest::render(&self.rows(), self.rejected(), self.postmortems())
@@ -869,13 +799,25 @@ impl Supervisor {
         heron_trace::merge_traces(&parts)
     }
 
-    /// The deterministic projection of this run for the pulse engine
-    /// ([`heron_pulse::build_pulse`]): manifest-grade job rows plus
-    /// per-job artifacts, nothing scheduling-dependent.
-    pub fn pulse_input(&self) -> heron_pulse::ServiceInput {
-        let jobs = self
+    /// The deterministic projection of this run that every pulse
+    /// artifact is derived from ([`heron_pulse::build_pulse`]): every
+    /// admitted job in submission order with its settled attempts and
+    /// artifacts, nothing scheduling-dependent.
+    pub fn service_run(&self) -> ServiceRun {
+        self.project(None)
+    }
+
+    /// [`Supervisor::service_run`], restricted to job `only` when set
+    /// (the postmortem's one-job view of a dying job).
+    fn project(&self, only: Option<&str>) -> ServiceRun {
+        let mut entries: Vec<(&String, &JobEntry)> = self
             .jobs
             .iter()
+            .filter(|(id, _)| only.is_none_or(|o| o == id.as_str()))
+            .collect();
+        entries.sort_by_key(|(_, e)| e.submit_seq);
+        let jobs = entries
+            .into_iter()
             .map(|(id, e)| {
                 let report = e.report.as_deref();
                 let (rounds, trials) = match (report, e.state) {
@@ -883,19 +825,16 @@ impl Supervisor {
                     (None, JobState::Preempted) => (e.preempted_rounds, e.preempted_trials),
                     _ => (0, 0),
                 };
-                heron_pulse::JobInput {
+                JobRun {
                     id: id.clone(),
                     state: e.state.to_string(),
-                    attempts: if e.epoch > 0 { e.attempt + 1 } else { 0 },
-                    recoveries: e.recoveries,
+                    attempt_ns: e.attempt_ns.clone(),
                     rounds,
                     trials: trials as u64,
                     termination: report.map(|r| r.termination.clone()),
                     warnings: e.warnings.clone(),
                     insight_json: report.map(|r| r.insight_json.clone()).unwrap_or_default(),
                     metrics_tsv: report.map(|r| r.metrics_tsv.clone()).unwrap_or_default(),
-                    wall_ns: report.map_or(0, |r| r.wall_ns),
-                    postmortems: self.postmortems.iter().filter(|p| p.job == *id).count() as u64,
                     trace_jsonl: report
                         .map(|r| {
                             heron_trace::slice_by_job(&r.trace_jsonl)
@@ -903,15 +842,14 @@ impl Supervisor {
                                 .unwrap_or_default()
                         })
                         .unwrap_or_default(),
+                    postmortems: self.postmortems.iter().filter(|p| p.job == *id).count() as u64,
                 }
             })
             .collect();
-        heron_pulse::ServiceInput {
-            config: heron_pulse::PulseConfig {
-                backoff_base_s: self.config.backoff_base_s,
-                checkpoint_every: self.config.checkpoint_every,
-                workers: self.config.workers,
-            },
+        ServiceRun {
+            workers: self.config.workers,
+            backoff_base_s: self.config.backoff_base_s,
+            checkpoint_every: self.config.checkpoint_every,
             jobs,
             rejected: self.rejected.clone(),
         }

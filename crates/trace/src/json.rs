@@ -186,15 +186,63 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// The member `key` of `doc`, or a `{path}: missing member` error.
+/// Validators thread `path` (`$`, `$.jobs[2]`, …) so every error
+/// names the offending JSON path.
+///
+/// # Errors
+/// When `doc` has no member `key`.
+pub fn want<'a>(doc: &'a Json, path: &str, key: &str) -> Result<&'a Json, String> {
+    doc.get(key)
+        .ok_or_else(|| format!("{path}: missing member `{key}`"))
+}
+
+/// The number member `key` of `doc` (see [`want`]).
+///
+/// # Errors
+/// When the member is missing or not a number.
+pub fn want_num(doc: &Json, path: &str, key: &str) -> Result<f64, String> {
+    want(doc, path, key)?
+        .as_f64()
+        .ok_or_else(|| format!("{path}.{key}: expected a number"))
+}
+
+/// The string member `key` of `doc` (see [`want`]).
+///
+/// # Errors
+/// When the member is missing or not a string.
+pub fn want_str<'a>(doc: &'a Json, path: &str, key: &str) -> Result<&'a str, String> {
+    want(doc, path, key)?
+        .as_str()
+        .ok_or_else(|| format!("{path}.{key}: expected a string"))
+}
+
+/// The array member `key` of `doc` (see [`want`]).
+///
+/// # Errors
+/// When the member is missing or not an array.
+pub fn want_arr<'a>(doc: &'a Json, path: &str, key: &str) -> Result<&'a [Json], String> {
+    want(doc, path, key)?
+        .as_arr()
+        .ok_or_else(|| format!("{path}.{key}: expected an array"))
+}
+
+/// How deeply arrays and objects may nest. Parsing recurses once per
+/// level (and so does dropping the parsed value), so an unbounded
+/// depth lets a few hundred kilobytes of `[` overflow the stack; every
+/// document this workspace writes nests fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one complete JSON document; trailing whitespace allowed,
 /// anything else after the value is an error.
 ///
 /// # Errors
-/// A human-readable message with a byte offset on malformed input.
+/// A human-readable message with a byte offset on malformed input,
+/// including nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -217,12 +265,15 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+        )),
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => parse_string(b, pos).map(Json::Str),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -241,7 +292,7 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, Stri
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(b, pos);
@@ -254,7 +305,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         members.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -268,7 +319,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -277,7 +328,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -407,6 +458,42 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted: {bad:?}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        let err = parse(&deep).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objects).unwrap_err().contains("nesting"));
+        // The limit itself still parses.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn accessors_name_the_json_path() {
+        let doc = parse(r#"{"n":1,"s":"x","a":[]}"#).unwrap();
+        assert_eq!(want_num(&doc, "$", "n"), Ok(1.0));
+        assert_eq!(want_str(&doc, "$", "s"), Ok("x"));
+        assert_eq!(want_arr(&doc, "$", "a").map(<[Json]>::len), Ok(0));
+        assert_eq!(
+            want(&doc, "$.jobs[0]", "k").unwrap_err(),
+            "$.jobs[0]: missing member `k`"
+        );
+        assert_eq!(
+            want_num(&doc, "$", "s").unwrap_err(),
+            "$.s: expected a number"
+        );
+        assert_eq!(
+            want_str(&doc, "$", "n").unwrap_err(),
+            "$.n: expected a string"
+        );
+        assert_eq!(
+            want_arr(&doc, "$", "n").unwrap_err(),
+            "$.n: expected an array"
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   profile tree built from traces or known totals.
 //!
 //! plus the flight-recorder **ring sink** ([`Tracer::set_ring`],
-//! DESIGN.md §12): a fixed-capacity buffer of the most recent events
+//! DESIGN.md §10): a fixed-capacity buffer of the most recent events
 //! with span-boundary-safe eviction, the bounded always-on recording
 //! mode for long-lived service runs.
 //!

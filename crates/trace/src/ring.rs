@@ -1,6 +1,6 @@
 //! The flight-recorder ring sink: a fixed-capacity buffer of the most
 //! recent trace events with deterministic eviction accounting
-//! (DESIGN.md §12).
+//! (DESIGN.md §10).
 //!
 //! Long-lived `heron_serve` runs cannot keep an unbounded JSONL trace
 //! in memory; the ring retains the last ~K events so a crash, hang or

@@ -169,18 +169,18 @@ cargo run --release --offline -p heron-bench --bin heron_serve -- \
     --smoke --trace-out "$obs_dir/serve_trace.jsonl" \
     --pulse-out "$obs_dir/pulse.json" --slo scripts/serve_smoke.slo \
     --slo-report "$obs_dir/slo_report.txt" --baseline BENCH_heron.json \
-    --scope-out "$obs_dir/scope.json" \
     --postmortem-dir "$obs_dir/postmortems" >/dev/null
 cargo run --release --offline -p heron-bench --bin trace_report -- \
     "$obs_dir/serve_trace.jsonl" --check
 echo "ok: chaos smoke passes; recovered jobs byte-identical; service trace validates"
 
-echo "== scope smoke (flight recorder, postmortems, critical path) =="
-# The forensics layer (DESIGN.md §12) gates the build: the chaos
+echo "== schedule smoke (flight recorder, postmortems, critical path) =="
+# The forensics layer (DESIGN.md §10) gates the build: the chaos
 # smoke's injected crash must leave a postmortem bundle behind, and the
-# reconstructed schedule must satisfy the central scope invariant —
-# the critical path's segment durations sum *exactly* to the recorded
-# makespan (heron_scope --check validates it and prints the equality).
+# schedule section of pulse.json (DESIGN.md §10) must satisfy its
+# central invariant — the critical path's segment durations sum
+# *exactly* to the makespan (heron_status validates it and prints the
+# equality above the timeline).
 test -f "$obs_dir/postmortems/g1.attempt0.crash.jsonl" || {
     echo "error: no postmortem bundle for the injected g1 crash" >&2
     ls "$obs_dir/postmortems" >&2 || true
@@ -190,14 +190,14 @@ test -f "$obs_dir/postmortems/g2.attempt0.hang.jsonl" || {
     echo "error: no postmortem bundle for the injected g2 hang" >&2
     exit 1
 }
-cargo run --release --offline -p heron-bench --bin heron_scope -- \
-    "$obs_dir/scope.json" --check > "$obs_dir/scope_check.out"
-grep -q 'critical-path sum == makespan' "$obs_dir/scope_check.out" || {
-    echo "error: heron_scope did not confirm critical-path sum == makespan:" >&2
-    cat "$obs_dir/scope_check.out" >&2
+cargo run --release --offline -p heron-bench --bin heron_status -- \
+    "$obs_dir/pulse.json" > "$obs_dir/status.out"
+grep -q 'critical-path sum == makespan' "$obs_dir/status.out" || {
+    echo "error: heron_status did not confirm critical-path sum == makespan:" >&2
+    cat "$obs_dir/status.out" >&2
     exit 1
 }
-echo "ok: crash/hang bundles present; scope.json valid; critical path sums to the makespan"
+echo "ok: crash/hang bundles present; pulse.json schedule valid; critical path sums to the makespan"
 
 echo "== pulse smoke (per-job SLIs, SLO gate, ops dashboard) =="
 # The derived telemetry plane (DESIGN.md §10) gates the build: the
@@ -221,6 +221,21 @@ if cargo run --release --offline -p heron-bench --bin heron_status -- \
     exit 1
 fi
 echo "ok: committed SLO spec passes; tightened spec fails the gate"
+
+echo "== hostile-JSON smoke (nesting limit) =="
+# 200,000 nested `[` once overflowed the JSON reader's stack and killed
+# heron_status with a signal. It must now be an ordinary parse error:
+# exit 1, not a signal (exit >= 128).
+head -c 200000 /dev/zero | tr '\0' '[' > "$obs_dir/deep.json"
+status=0
+./target/release/heron_status "$obs_dir/deep.json" \
+    >/dev/null 2>"$obs_dir/deep.err" || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "error: heron_status on 200k nested arrays exited $status (want 1):" >&2
+    cat "$obs_dir/deep.err" >&2
+    exit 1
+fi
+echo "ok: deeply nested JSON is rejected with exit 1"
 
 echo "== audit smoke (differential constraint-space auditor) =="
 # The generated spaces themselves gate the build (DESIGN.md §11): a
@@ -251,7 +266,7 @@ echo "ok: clean specs audit clean (3 platforms, byte-stable); dropped rule fails
 
 echo "== telemetry-name lint (serve.* / pulse.* / audit.* / scope.* documentation) =="
 # Every serve.*/pulse.*/audit.*/scope.* counter, point, or span name
-# the code emits must be documented in DESIGN.md §10/§11/§12's name
+# the code emits must be documented in DESIGN.md §10/§11 name
 # tables, so the dashboard and trace reports never show an unexplained
 # metric.
 undocumented=""
@@ -260,7 +275,7 @@ for name in $(grep -rhoE '"(serve|pulse|audit|scope)\.[a-z_.]+"' crates --includ
     grep -q -- "$name" DESIGN.md || undocumented="$undocumented $name"
 done
 if [ -n "$undocumented" ]; then
-    echo "error: telemetry names missing from DESIGN.md §10-§12:$undocumented" >&2
+    echo "error: telemetry names missing from DESIGN.md §10-§11:$undocumented" >&2
     exit 1
 fi
 echo "ok: every serve.*/pulse.*/audit.*/scope.* telemetry name is documented"
@@ -303,5 +318,12 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 echo "ok: no stray prints outside bench/testkit"
+
+echo "== host benchmark builds and passes its tests =="
+# hostbench/ is a cargo workspace of its own, so the workspace build
+# above never compiles it: an API change in a crate it uses would break
+# the benchmark silently. Build and test it here.
+cargo test --release --offline -q --manifest-path hostbench/Cargo.toml
+echo "ok: hostbench builds against the current crates"
 
 echo "verify.sh: all checks passed"

@@ -29,9 +29,8 @@
 //! | [`trace`] | `heron-trace` | span tracing, metrics registry, profile reports |
 //! | [`insight`] | `heron-insight` | search-health analytics and regression gates |
 //! | [`serve`] | `heron-serve` | supervised, crash-recoverable tuning service |
-//! | [`pulse`] | `heron-pulse` | service SLIs/SLOs and the ops dashboard |
+//! | [`pulse`] | `heron-pulse` | service schedule, SLIs/SLOs, dashboard and timeline |
 //! | [`audit`] | `heron-audit` | differential constraint-space auditor + mutation gate |
-//! | [`scope`] | `heron-scope` | schedule forensics: timelines, Gantt, critical path |
 //!
 //! # Quickstart
 //!
@@ -69,7 +68,6 @@ pub use heron_graph as graph;
 pub use heron_insight as insight;
 pub use heron_pulse as pulse;
 pub use heron_sched as sched;
-pub use heron_scope as scope;
 pub use heron_serve as serve;
 pub use heron_tensor as tensor;
 pub use heron_trace as trace;

@@ -1,8 +1,9 @@
 //! Flight-recorder and postmortem forensics regression suite
-//! (DESIGN.md §12).
+//! (DESIGN.md §10).
 //!
 //! The forensic artifacts — per-job flight-recorder rings, crash
-//! postmortem bundles, and the reconstructed `scope.json` schedule —
+//! postmortem bundles, and the reconstructed service schedule in
+//! `pulse.json` —
 //! exist to be *diffed*: against a previous run, against a healthy
 //! baseline, against the same incident on another machine. That only
 //! works if they are byte-deterministic functions of (script, seeds,
@@ -11,10 +12,9 @@
 //! emission contract (exactly one bundle per confirmed death, hangs
 //! included).
 
-use heron::scope::validate_scope;
+use heron::pulse::{build_pulse, validate_pulse, SloSpec};
 use heron::serve::{check_postmortem, parse_script, JobState, Supervisor};
 use heron::trace::Json;
-use heron_bench::scope_input;
 
 /// A chaos scenario that exercises all three death paths: a recovered
 /// crash, a confirmed hang, and a poisoned job that exhausts its
@@ -70,18 +70,20 @@ fn same_seed_chaos_runs_yield_byte_identical_forensics() {
             .unwrap_or_else(|e| panic!("bundle `{}` invalid: {e}", pm.file));
     }
 
-    // The reconstructed schedule document, rendered bytes included.
-    let scope_a = heron::scope::build_scope(&scope_input(&first));
-    let scope_b = heron::scope::build_scope(&scope_input(&second));
-    validate_scope(&scope_a).expect("scope document validates");
+    // The reconstructed schedule, as pulse.json's schedule section,
+    // rendered bytes included.
+    let pulse_a = build_pulse(&first.service_run(), &SloSpec::empty());
+    let pulse_b = build_pulse(&second.service_run(), &SloSpec::empty());
+    validate_pulse(&pulse_a).expect("pulse document validates");
     assert_eq!(
-        scope_a.render_pretty(),
-        scope_b.render_pretty(),
-        "scope.json differs across same-seed runs"
+        pulse_a.render_pretty(),
+        pulse_b.render_pretty(),
+        "pulse.json (schedule included) differs across same-seed runs"
     );
-    let makespan = scope_a.get("makespan_ns").and_then(Json::as_u64);
+    let schedule = pulse_a.get("schedule").expect("schedule section");
+    let makespan = schedule.get("makespan_ns").and_then(Json::as_u64);
     assert_eq!(
-        scope_a.get("critical_sum_ns").and_then(Json::as_u64),
+        schedule.get("critical_sum_ns").and_then(Json::as_u64),
         makespan,
         "critical-path sum must equal the makespan exactly"
     );

@@ -6,8 +6,10 @@
 //! per-job sub-traces (each a valid trace whose profile sums to that
 //! job's recorded wall-clock), a recovered job's sub-trace is
 //! byte-identical to an uninterrupted resume of the same checkpoint,
-//! and the whole derived plane — `pulse.json`, the SLO report, the
-//! `heron_status` dashboard — is byte-identical across service reruns.
+//! the whole derived plane — `pulse.json`, the SLO report, the
+//! `heron_status` dashboard — is byte-identical across service reruns,
+//! and every per-job schedule SLI equals a read of the document's own
+//! schedule section, to the nanosecond.
 
 use std::collections::BTreeMap;
 
@@ -16,7 +18,7 @@ use heron::pulse::{
     SloSpec,
 };
 use heron::serve::{parse_script, JobState, Supervisor};
-use heron::trace::{check_trace, service_slice, slice_by_job, Json};
+use heron::trace::{check_trace, json, service_slice, slice_by_job, Json};
 use heron_serve::build_session;
 
 /// The shared chaos scenario: all three kill paths (crash after a
@@ -55,8 +57,8 @@ queue_wait_s <= 120
 ",
     )
     .expect("spec parses");
-    let first = build_pulse(&run_service().pulse_input(), &spec);
-    let second = build_pulse(&run_service().pulse_input(), &spec);
+    let first = build_pulse(&run_service().service_run(), &spec);
+    let second = build_pulse(&run_service().service_run(), &spec);
     validate_pulse(&first).expect("valid pulse document");
     assert_eq!(
         first.render_pretty(),
@@ -85,6 +87,107 @@ queue_wait_s <= 120
             .any(|w| w.starts_with("pulse.warn.heartbeat_stall")),
         "job c should carry a heartbeat-stall warning"
     );
+}
+
+/// Two lanes, three jobs: `q` queues behind the others, `r` recovers
+/// from a crash, and `p` crashes past its restart budget into
+/// quarantine.
+const CROSS_SCRIPT: &str = "\
+workers = 2
+queue_capacity = 8
+restart_budget = 1
+checkpoint_every = 2
+hang_grace_polls = 400
+poll_interval_ms = 5
+
+job r op=gemm shape=64x64x64 trials=24 seed=51
+job p op=gemm shape=48x48x48 trials=16 seed=52
+job q op=gemm shape=32x32x32 trials=16 seed=53
+
+kill r attempt=0 round=2 kind=crash
+kill p attempt=0 round=1 kind=crash
+kill p attempt=1 round=1 kind=crash
+";
+
+/// An SLI in seconds as rendered in pulse.json, back in nanoseconds
+/// (`None` when null).
+fn sli_ns(slis: &Json, key: &str) -> Option<u64> {
+    let secs = slis.get(key).expect(key).as_f64()?;
+    Some((secs * 1e9).round() as u64)
+}
+
+#[test]
+fn per_job_slis_are_reads_of_the_schedule_section() {
+    let script = parse_script(CROSS_SCRIPT).expect("script parses");
+    let mut sup = Supervisor::from_script(script);
+    sup.run();
+    let rendered = build_pulse(&sup.service_run(), &SloSpec::empty()).render_pretty();
+    let doc = json::parse(&rendered).expect("pulse.json parses");
+    validate_pulse(&doc).expect("valid pulse document");
+    let segments = doc
+        .get("schedule")
+        .and_then(|s| s.get("segments"))
+        .and_then(Json::as_arr)
+        .expect("schedule segments");
+    let seg_u64 = |seg: &Json, key: &str| seg.get(key).and_then(Json::as_u64).expect(key);
+    let rows = sup.rows();
+    let jobs = doc.get("jobs").and_then(Json::as_arr).expect("jobs");
+    assert_eq!(jobs.len(), 3);
+    for job in jobs {
+        let id = job.get("id").and_then(Json::as_str).expect("id");
+        let slis = job.get("slis").expect("slis");
+        let mine: Vec<&Json> = segments
+            .iter()
+            .filter(|s| s.get("job").and_then(Json::as_str) == Some(id))
+            .collect();
+        let is_run = |s: &Json| s.get("phase").and_then(Json::as_str) == Some("run");
+        let runs: Vec<(u64, u64)> = mine
+            .iter()
+            .filter(|s| is_run(s))
+            .map(|s| (seg_u64(s, "start_ns"), seg_u64(s, "end_ns")))
+            .collect();
+        let waits: u64 = mine
+            .iter()
+            .filter(|s| !is_run(s))
+            .map(|s| seg_u64(s, "end_ns") - seg_u64(s, "start_ns"))
+            .sum();
+        let widest_gap = runs.windows(2).map(|w| w[1].0 - w[0].1).max().unwrap_or(0);
+        let backoffs = mine
+            .iter()
+            .filter(|s| s.get("phase").and_then(Json::as_str) == Some("backoff"))
+            .count() as u64;
+
+        assert_eq!(sli_ns(slis, "queue_wait_s"), Some(waits), "{id}");
+        assert_eq!(sli_ns(slis, "recovery_max_s"), Some(widest_gap), "{id}");
+        let completed = job.get("state").and_then(Json::as_str) == Some("completed");
+        let last_end = runs.last().filter(|_| completed).map(|run| run.1);
+        assert_eq!(sli_ns(slis, "makespan_s"), last_end, "{id}: makespan_s");
+        let recoveries = job.get("recoveries").and_then(Json::as_u64);
+        assert_eq!(recoveries, Some(backoffs), "{id}: recoveries");
+        // The supervisor's own count (manifest, JobRow) agrees.
+        let row = rows.iter().find(|r| r.id == id).expect("row");
+        assert_eq!(
+            u64::from(row.recoveries),
+            backoffs,
+            "{id}: JobRow.recoveries"
+        );
+    }
+
+    // The scenario really exercised all three paths.
+    let sli = |id: &str, key: &str| {
+        let job = jobs
+            .iter()
+            .find(|j| j.get("id").and_then(Json::as_str) == Some(id))
+            .expect("job");
+        sli_ns(job.get("slis").expect("slis"), key).unwrap_or(0)
+    };
+    assert_eq!(sup.state("r"), Some(JobState::Completed));
+    assert_eq!(sup.state("p"), Some(JobState::Quarantined));
+    assert_eq!(sup.state("q"), Some(JobState::Completed));
+    assert!(sli("q", "queue_wait_s") > 0, "q queued behind r and p");
+    assert!(sli("r", "recovery_max_s") > 0, "r recovered from its crash");
+    let p = rows.iter().find(|r| r.id == "p").expect("p");
+    assert_eq!((p.attempts, p.recoveries), (2, 1), "budget 1: one restart");
 }
 
 #[test]

@@ -103,7 +103,7 @@ kill poison attempt=1 round=1 kind=crash
         .find(|r| r.id == "poison")
         .expect("row exists");
     assert_eq!(row.attempts, 2, "budget 1 allows attempts 0 and 1");
-    assert_eq!(row.recoveries, 2);
+    assert_eq!(row.recoveries, 1, "one restart; the quarantine is not one");
     assert!(
         row.note.as_deref().unwrap_or("").contains("restart budget"),
         "quarantine note names the cause: {:?}",
